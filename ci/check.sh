@@ -22,10 +22,10 @@ cargo test -q --offline -p tfe-fleet
 # depthwise, grouped, and dilated stages — run the target explicitly so
 # geometry regressions cannot hide behind a filtered invocation.
 cargo test -q --offline --test geometry_parity
-# The execution-mode grid pins the weight plan's alternate executors —
-# the compressed-sparse and factorized paths — bit-identical to the
-# dense sweep (activations, per-image counter streams, per-layer
-# telemetry sums) across scheme x stride x dilation x batch.
+# The execution-mode grid pins the weight plan's compressed-sparse
+# executor bit-identical to the dense sweep (activations, per-image
+# counter streams, per-layer telemetry sums) across scheme x stride x
+# dilation x batch, and the default policy's mode choices.
 cargo test -q --offline --test mode_parity
 # The telemetry crate's seqlock ring and exact-decomposition invariants
 # are load-bearing for every observability surface — build and test the
@@ -40,6 +40,11 @@ cargo bench --offline --no-run
 # Rustdoc is part of the public surface: broken intra-doc links or
 # malformed docs fail the gate just like clippy warnings do.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+# The end-to-end benchmark is a workspace of its own that builds against
+# the crates' public API (ExecMode, ModePolicy, Engine::compile_with_policy,
+# ...): build and test it here so an API change fails this gate rather
+# than the benchmark run.
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 # BENCH=1 additionally runs the timing acceptance benches — the
 # compile/run-split steady-state speedup (pinned >= 2x on the
 # compile-bound cell), the filter-stationary batched sweep (pinned
@@ -50,10 +55,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # single-model serving). engine_speedup now carries a depthwise-separable
 # cell and engine_batch a dilated cell, so the generalized-geometry paths
 # are in the timed sweep too. engine_modes times the weight plan's
-# alternate executors against the dense sweep on the same network
-# (bit-identity asserted before timing) — the compressed-sparse path is
-# pinned >= 1.2x at 90 % sparsity; the 50/70 % and factorized cells are
-# recorded unpinned to chart the crossover. engine_speedup, engine_batch,
+# compressed-sparse executor against the dense sweep on the same network
+# (bit-identity asserted before timing) — pinned >= 1.2x at 90 %
+# sparsity; the 50/70 % cells are recorded unpinned to chart the
+# crossover. engine_speedup, engine_batch,
 # engine_modes, ppsr_row, and fleet_router write their min-of-reps cells
 # into BENCH_10.json at the repo root (the persistent perf trajectory;
 # see README "Perf trajectory"), printed below so the numbers land in

@@ -69,11 +69,13 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed JSON or a shape mismatch with `T`.
+/// Returns [`Error`] on malformed JSON, arrays and objects nested
+/// deeper than 128 levels, or a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
@@ -180,9 +182,17 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`from_str`] accepts — upstream
+/// serde_json's default recursion limit. The parser recurses once per
+/// level, so without a cap a long run of `[` from an untrusted peer
+/// overflows the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -224,8 +234,8 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_whitespace();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') if self.consume_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.consume_literal("false") => Ok(Value::Bool(false)),
@@ -233,6 +243,21 @@ impl Parser<'_> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(Error::new(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object one nesting level down, refusing to
+    /// go past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_object(&mut self) -> Result<Value, Error> {
@@ -417,6 +442,18 @@ mod tests {
             Value::Array(items) => assert_eq!(items.len(), 2),
             other => panic!("expected array, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error() {
+        let within = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&within).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = from_str::<Value>(&past).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Deep enough to overflow the stack without the limit.
+        assert!(from_str::<Value>(&"[".repeat(100_000)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

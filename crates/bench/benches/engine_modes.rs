@@ -1,21 +1,19 @@
-//! `engine_modes`: the alternate dense-stage executors vs the dense
-//! sweep — the acceptance bench of the weight-plan subsystem (DESIGN
-//! §5.15).
+//! `engine_modes`: the compressed-sparse dense-stage executor vs the
+//! dense sweep — the acceptance bench of the weight-plan subsystem
+//! (DESIGN §5.15).
 //!
 //! Each cell compiles **one network twice** — once under
-//! [`ModePolicy::DENSE_ONLY`] (the baseline) and once under the forced
-//! alternate mode — and times single-image [`Engine::run`] on both,
-//! interleaved min-of-reps, **bit-identity asserted before timing**
-//! (activations, counters, and a batched run on each side):
+//! [`ModePolicy::DENSE_ONLY`] (the baseline) and once under
+//! [`ModePolicy::FORCE_SPARSE`] — and times single-image
+//! [`Engine::run`] on both, interleaved min-of-reps, **bit-identity
+//! asserted before timing** (activations, counters, and a batched run
+//! on each side):
 //!
 //! * **sparse_p50 / p70 / p90** — a dense stage magnitude-pruned to the
 //!   exact sparsity through `tfe-baselines`'
 //!   [`SparseFilterBank::prune`], executed by the compressed-sparse
 //!   path (`engine/sparse.rs`) against the dense sweep over the same
 //!   (mostly-zero) weights.
-//! * **factorized_palette4** — a dense stage whose weights come from a
-//!   four-value palette (repetition ≈ 0.99), executed by the UCNN-style
-//!   factorized path (`engine/repeat.rs`) against the dense sweep.
 //!
 //! Pinned acceptance numbers (asserted, not just printed):
 //!
@@ -24,10 +22,10 @@
 //! * every cell's two sides are bit-identical — asserted on
 //!   activations and the full counter stream before any timing runs.
 //!
-//! The 50/70 % sparse cells and the factorized cell are recorded
-//! unpinned: they chart where the crossover lives in the trajectory
-//! (`BENCH_*.json` via [`tfe_bench::report`]) without promising a win
-//! the mode policy's thresholds don't rely on.
+//! The 50/70 % sparse cells are recorded unpinned: they chart where the
+//! crossover lives in the trajectory (`BENCH_*.json` via
+//! [`tfe_bench::report`]) without promising a win the mode policy's
+//! threshold doesn't rely on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -78,22 +76,10 @@ fn pruned_net(sparsity: f64, seed: u32) -> FunctionalNetwork {
     )
 }
 
-/// A dense stage drawn from a four-value palette: zero never occurs
-/// (sparsity 0), repetition ≈ 0.99 — the factorized path's best case.
-fn palette_net(seed: u32) -> FunctionalNetwork {
-    const PALETTE: [f32; 4] = [-0.5, -0.25, 0.25, 0.5];
-    let mut s = seed;
-    stage_net(Tensor4::from_fn([M, N, K, K], |_| {
-        det(&mut s);
-        PALETTE[(s >> 9) as usize % 4]
-    }))
-}
-
 struct Cell {
     label: &'static str,
     net: FunctionalNetwork,
-    forced: (ModePolicy, ExecMode),
-    /// The pinned minimum alternate/dense throughput ratio, if any.
+    /// The pinned minimum sparse/dense throughput ratio, if any.
     pin: Option<f64>,
     seed: u32,
 }
@@ -103,30 +89,20 @@ fn bench_engine_modes(c: &mut Criterion) {
         Cell {
             label: "sparse_p50",
             net: pruned_net(0.5, 21),
-            forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
             pin: None,
             seed: 201,
         },
         Cell {
             label: "sparse_p70",
             net: pruned_net(0.7, 22),
-            forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
             pin: None,
             seed: 202,
         },
         Cell {
             label: "sparse_p90",
             net: pruned_net(0.9, 23),
-            forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
             pin: Some(1.2),
             seed: 203,
-        },
-        Cell {
-            label: "factorized_palette4",
-            net: palette_net(24),
-            forced: (ModePolicy::FORCE_FACTORIZED, ExecMode::Factorized),
-            pin: None,
-            seed: 204,
         },
     ];
 
@@ -136,9 +112,10 @@ fn bench_engine_modes(c: &mut Criterion) {
             Engine::compile_with_policy(&cell.net, ReuseConfig::FULL, &ModePolicy::DENSE_ONLY)
                 .unwrap();
         let alt =
-            Engine::compile_with_policy(&cell.net, ReuseConfig::FULL, &cell.forced.0).unwrap();
+            Engine::compile_with_policy(&cell.net, ReuseConfig::FULL, &ModePolicy::FORCE_SPARSE)
+                .unwrap();
         assert_eq!(dense.exec_modes(), vec![ExecMode::Dense], "{}", cell.label);
-        assert_eq!(alt.exec_modes(), vec![cell.forced.1], "{}", cell.label);
+        assert_eq!(alt.exec_modes(), vec![ExecMode::Sparse], "{}", cell.label);
 
         let mut s = cell.seed;
         let input = Tensor4::from_fn([1, N, HW, HW], |_| Fx16::from_f32(det(&mut s)));
@@ -213,9 +190,8 @@ fn bench_engine_modes(c: &mut Criterion) {
         if let Some(pin) = cell.pin {
             assert!(
                 ratio >= pin,
-                "{}: the {} executor must be >= {pin}x the dense sweep, got ratio {ratio:.3}",
-                cell.label,
-                cell.forced.1.as_str()
+                "{}: the sparse executor must be >= {pin}x the dense sweep, got ratio {ratio:.3}",
+                cell.label
             );
         }
 

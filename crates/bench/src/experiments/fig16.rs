@@ -10,14 +10,13 @@
 //!   the simulated engine on AlexNet (`param reduction`, `speedup vs
 //!   Eyeriss`), and the `TFE/method` column is computed from those
 //!   measured values. Since the weight-plan subsystem landed (DESIGN
-//!   §5.15), the *mechanisms* the comparison methods rely on are also
+//!   §5.15), the *mechanism* the pruning methods rely on is also
 //!   executable here: magnitude pruning runs through the engine's
 //!   compressed-sparse mode (`ExecMode::Sparse`, fed by
-//!   `tfe_baselines::sparse_kernel::SparseFilterBank::prune`) and
-//!   UCNN-style weight repetition through the factorized mode
-//!   (`ExecMode::Factorized`) — both bit-identical to the dense sweep
-//!   (`tests/mode_parity.rs`) and timed against it in the
-//!   `engine_modes` bench (BENCH_10.json).
+//!   `tfe_baselines::sparse_kernel::SparseFilterBank::prune`),
+//!   bit-identical to the dense sweep (`tests/mode_parity.rs`) and
+//!   timed against it in the `engine_modes` bench (BENCH_10.json).
+//!   UCNN's weight repetition stays analytical.
 //! * **Reported** — the Han / SSL / ADMM / UCNN rows are *analytical*
 //!   models ([`PruningModel`]): published per-layer reduction factors
 //!   applied to the zoo's layer tables, not executions of those

@@ -15,19 +15,16 @@ use std::time::Instant;
 pub fn best_ips(reps: u32, rounds: u32, mut run: impl FnMut()) -> f64 {
     let mut best = f64::MAX;
     for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..rounds {
-            run();
-        }
-        best = best.min(start.elapsed().as_secs_f64());
+        best = best.min(time_rounds(rounds, &mut run));
     }
     f64::from(rounds) / best
 }
 
-/// [`best_ips`] for two closures with their repetitions interleaved
-/// (a, b, a, b, …), so clock-frequency drift over the measurement
-/// window hits both sides equally instead of biasing whichever ran
-/// last. Use this for every pinned ratio: a real ~1 % gap is smaller
+/// [`best_ips`] for two closures with their repetitions interleaved,
+/// alternating which side goes first (a, b, b, a, a, b, …), so
+/// clock-frequency drift over the measurement window hits both sides
+/// equally and neither side always runs on caches the other just
+/// warmed. Use this for every pinned ratio: a real ~1 % gap is smaller
 /// than un-interleaved drift alone.
 pub fn best_pair_ips(
     reps: u32,
@@ -36,17 +33,41 @@ pub fn best_pair_ips(
     mut b: impl FnMut(),
 ) -> (f64, f64) {
     let (mut best_a, mut best_b) = (f64::MAX, f64::MAX);
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..rounds {
-            a();
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            best_a = best_a.min(time_rounds(rounds, &mut a));
+            best_b = best_b.min(time_rounds(rounds, &mut b));
+        } else {
+            best_b = best_b.min(time_rounds(rounds, &mut b));
+            best_a = best_a.min(time_rounds(rounds, &mut a));
         }
-        best_a = best_a.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        for _ in 0..rounds {
-            b();
-        }
-        best_b = best_b.min(start.elapsed().as_secs_f64());
     }
     (f64::from(rounds) / best_a, f64::from(rounds) / best_b)
+}
+
+/// Wall-clock seconds for `rounds` back-to-back calls of `run`.
+fn time_rounds(rounds: u32, run: &mut impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..rounds {
+        run();
+    }
+    start.elapsed().as_secs_f64()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+
+    #[test]
+    fn paired_reps_alternate_which_side_runs_first() {
+        let order = RefCell::new(String::new());
+        best_pair_ips(
+            4,
+            1,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert_eq!(order.into_inner(), "abbaabba");
+    }
 }

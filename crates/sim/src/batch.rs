@@ -4,12 +4,13 @@
 //! [`run_engine_batch`] pushes a batch of independent input images
 //! through one compiled [`Engine`], dividing the images into contiguous
 //! per-worker chunks. Each chunk checks a [`Scratch`](crate::engine::Scratch)
-//! arena out of a [`ScratchPool`] and runs its images sequentially
-//! through [`Engine::run`]; outputs come back in input order and
-//! per-image [`Counters`] merge in input order via [`Counters::merge`] —
-//! so both the activation values and the merged totals are
-//! **bit-identical** to a sequential loop over the batch, for every
-//! thread count (`tests/parallel_parity.rs` asserts this).
+//! arena out of a [`ScratchPool`], packs its images into one tensor and
+//! runs them as a single [`Engine::run_batched`] sweep; outputs come
+//! back in input order and per-image [`Counters`] merge in input order
+//! via [`Counters::merge`] — so both the activation values and the
+//! merged totals are **bit-identical** to a sequential loop over the
+//! batch, for every thread count (`tests/parallel_parity.rs` asserts
+//! this).
 //!
 //! [`run_batch`] is the convenience wrapper over a
 //! [`FunctionalNetwork`]: it compiles (or fetches the cached) engine via
@@ -19,8 +20,8 @@
 //! Thread budget: [`BatchOptions::threads`] pins an explicit count;
 //! otherwise the runner uses the ambient budget (`RAYON_NUM_THREADS` /
 //! `TFE_THREADS` environment variables, defaulting to the machine's
-//! available parallelism). Parallelism is across images only — each
-//! image runs sequentially inside one engine pass.
+//! available parallelism). Parallelism is across chunks of images
+//! only — each chunk's images share one engine pass on one worker.
 
 use crate::counters::Counters;
 use crate::engine::{Engine, ScratchPool};

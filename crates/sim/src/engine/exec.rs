@@ -27,8 +27,7 @@
 
 use super::ir::{Geo, StageIr, UnitIr};
 use super::kernels::RowKernel;
-use super::plan::{charge_dense_unit_image, AltUnit};
-use super::repeat::factorized_unit_image;
+use super::plan::charge_dense_unit_image;
 use super::scratch::{return_ring, shape_streams, take_ring, ArenaPeak, KernelBufs, Scratch};
 use super::sparse::sparse_unit_image;
 use super::Engine;
@@ -119,10 +118,6 @@ struct PartCtx<'a> {
     /// (vectorizer-friendly) kernel fast path for dense and sparse
     /// sweeps.
     saturation_free: bool,
-    /// The effective execution mode of this run: the plan's chosen
-    /// [`ExecMode`], downgraded to [`ExecMode::Dense`] when a
-    /// factorized stage fails this run's window-saturation bound.
-    exec: ExecMode,
     reuse: ReuseConfig,
     sources: &'a [(usize, usize, bool); ORBIT],
     /// The whole batch's padded input planes. Dense stages interleave
@@ -328,30 +323,19 @@ impl Engine {
         }
         out.clear();
         out.resize(batch * geo.m * plane_len, Accum::ZERO);
-        // The effective execution mode of this run: the compiled plan's
-        // choice, except that a factorized stage regroups additions and
-        // so is only admitted when this run's activations pass the
-        // window-level saturation bound — otherwise it downgrades to
-        // the (bit-identical by definition) dense sweep.
-        let exec = match stage.plan.mode() {
-            ExecMode::Factorized if !window_saturation_free(stage, &geo, cur) => ExecMode::Dense,
-            mode => mode,
-        };
+        let sparse = stage.plan.mode() == ExecMode::Sparse;
         // Stages are scheme-homogeneous (one TransferredLayer each), so
         // the padded layout is a per-stage choice: dense stages take the
         // row-interleaved layout (one contiguous sweep spans the batch),
-        // DCNN/SCNN stages — and the alternate per-image executors —
-        // keep image-major planes.
-        let interleaved = matches!(stage.units.first(), Some(UnitIr::Dense { .. }))
-            && !matches!(exec, ExecMode::Sparse | ExecMode::Factorized);
+        // DCNN/SCNN stages — and the per-image sparse executor — keep
+        // image-major planes.
+        let interleaved = matches!(stage.units.first(), Some(UnitIr::Dense { .. })) && !sparse;
         fill_padded_batch(padded, cur, batch, &geo, interleaved);
         let ctx = PartCtx {
             stage,
             geo,
             batch,
-            saturation_free: (interleaved || exec == ExecMode::Sparse)
-                && saturation_free(stage, &geo, padded),
-            exec,
+            saturation_free: (interleaved || sparse) && saturation_free(stage, &geo, padded),
             reuse: self.reuse,
             sources: &self.scnn_sources,
             padded,
@@ -553,31 +537,6 @@ fn saturation_free(stage: &StageIr, geo: &Geo, padded: &[Fx16]) -> bool {
         < i64::from(i32::MAX)
 }
 
-/// The stricter, window-level saturation bound that admits the
-/// factorized executor for one run: the absolute sum of **all** of a
-/// window's products is bounded by `(N/groups) · K² · max|w| · max|in|`.
-/// Strictly inside `i32`, no partial sum of any regrouping of those
-/// products can saturate, so the dense saturating chain — row sums,
-/// accumulator updates, and the `K−1` window-combine additions alike —
-/// equals the exact integer total the factorized executor computes.
-///
-/// Scanned over the **pre-padding** stage activations (`cur`): padding
-/// only inserts exact zeros, so the max is unchanged and the layout
-/// decision can be made before the batch is padded.
-pub(super) fn window_saturation_free(stage: &StageIr, geo: &Geo, cur: &[Fx16]) -> bool {
-    let in_abs = cur
-        .iter()
-        .map(|v| i64::from(v.to_bits()).abs())
-        .max()
-        .unwrap_or(0);
-    (geo.cpg as i64)
-        .saturating_mul(geo.k as i64)
-        .saturating_mul(geo.k as i64)
-        .saturating_mul(stage.w_abs_max)
-        .saturating_mul(in_abs)
-        < i64::from(i32::MAX)
-}
-
 /// Merges a run's per-image counters in batch order.
 fn total_counters(per_image: &[Counters]) -> Counters {
     let mut total = Counters::new();
@@ -662,38 +621,27 @@ fn run_part(
     for (ui, unit) in ctx.stage.units[part.u0..part.u1].iter().enumerate() {
         match unit {
             UnitIr::Dense { m, base } => {
-                if part.images() > 0 && matches!(ctx.exec, ExecMode::Sparse | ExecMode::Factorized)
-                {
-                    // Alternate executors run per image over the
+                if part.images() > 0 && ctx.stage.plan.mode() == ExecMode::Sparse {
+                    // The sparse executor runs per image over the
                     // image-major layout; charges replay the dense
                     // model once for the representative image (the
                     // caller replicates per image, exactly as the
                     // dense sweep's hoisted charges are).
                     charge_dense_unit_image(geo, charges);
-                    let alt = &ctx.stage.plan.units[part.u0 + ui];
+                    let table = &ctx.stage.plan.sparse[part.u0 + ui];
                     for bi in 0..part.images() {
                         let image = &ctx.padded[(part.b0 + bi) * img_stride..][..img_stride];
                         let out_img = &mut out_part[bi * slab..][..slab];
-                        match alt {
-                            AltUnit::Sparse(table) => sparse_unit_image(
-                                table,
-                                image,
-                                geo,
-                                *m,
-                                *m - part.plane0,
-                                ctx.saturation_free,
-                                out_img,
-                                bufs,
-                            ),
-                            AltUnit::Fact(table) => factorized_unit_image(
-                                table,
-                                image,
-                                geo,
-                                *m - part.plane0,
-                                out_img,
-                                bufs,
-                            ),
-                        }
+                        sparse_unit_image(
+                            table,
+                            image,
+                            geo,
+                            *m,
+                            *m - part.plane0,
+                            ctx.saturation_free,
+                            out_img,
+                            bufs,
+                        );
                     }
                     continue;
                 }

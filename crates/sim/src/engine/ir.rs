@@ -122,8 +122,8 @@ pub(crate) struct StageIr {
     /// run phase checks per stage (`exec::saturation_free`) before
     /// taking the wrapping kernel fast path.
     pub(crate) w_abs_max: i64,
-    /// The stage's compiled weight plan: chosen [`ExecMode`], weight
-    /// statistics, and the per-unit alternate-execution tables
+    /// The stage's compiled weight plan: chosen [`ExecMode`], zero-tap
+    /// fraction, and the per-unit compressed-sparse tables
     /// (`engine/plan.rs`).
     pub(crate) plan: StagePlan,
 }

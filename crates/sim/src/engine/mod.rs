@@ -60,7 +60,6 @@ mod exec;
 mod ir;
 pub(crate) mod kernels;
 mod plan;
-mod repeat;
 mod scratch;
 mod sparse;
 
@@ -119,7 +118,7 @@ impl Engine {
     /// bit-identical activations and counters — the policy only chooses
     /// *how* dense stages execute ([`ExecMode`]), so forcing a mode
     /// (e.g. [`ModePolicy::FORCE_SPARSE`]) is safe for any network and
-    /// is how the parity tests and benches pin the alternate executors.
+    /// is how the parity tests and benches pin the sparse executor.
     ///
     /// # Errors
     ///
@@ -273,20 +272,18 @@ impl Engine {
     }
 
     /// The [`ExecMode`] the weight plan chose for each stage, in stage
-    /// order — how dense stages actually execute (dense sweep,
-    /// compressed-sparse, or factorized; transferred stages report
+    /// order — how dense stages actually execute (dense sweep or
+    /// compressed-sparse; transferred stages report
     /// [`ExecMode::Transferred`]).
     #[must_use]
     pub fn exec_modes(&self) -> Vec<ExecMode> {
         self.stages.iter().map(|s| s.plan.mode()).collect()
     }
 
-    /// The weight statistics the plan measured for stage `index`:
-    /// `(sparsity, repetition)` over the stage's quantized logical taps.
+    /// The weight statistic the plan measured for stage `index`: the
+    /// zero fraction over the stage's quantized logical taps.
     #[must_use]
-    pub fn stage_weight_stats(&self, index: usize) -> Option<(f64, f64)> {
-        self.stages
-            .get(index)
-            .map(|s| (s.plan.sparsity, s.plan.repetition))
+    pub fn stage_weight_stats(&self, index: usize) -> Option<f64> {
+        self.stages.get(index).map(|s| s.plan.sparsity)
     }
 }

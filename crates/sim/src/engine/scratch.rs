@@ -144,11 +144,6 @@ pub(crate) struct KernelBufs {
     pub(crate) window: Vec<Accum>,
     /// Dense path: `K` channel-summed row parts, flat `[K × full_w]`.
     pub(crate) parts: Vec<Accum>,
-    /// Factorized path: per-output-row weighted totals (`i64`, exact
-    /// under the admitting window bound).
-    pub(crate) fact_acc: Vec<i64>,
-    /// Factorized path: the current weight group's activation sums.
-    pub(crate) fact_sum: Vec<i64>,
     /// DCNN no-ERRR path: `per_row[ky][dx][x]` stream buffers.
     pub(crate) per_row: Streams,
     /// Retired rings awaiting the next unit.

@@ -42,7 +42,6 @@ pub mod counters;
 pub mod engine;
 pub mod errr;
 pub mod functional;
-pub mod input_memory;
 pub mod memory;
 pub mod network;
 pub mod output;

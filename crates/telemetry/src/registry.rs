@@ -23,8 +23,8 @@ pub struct LayerStats {
     /// The stage's layer label (shape name).
     pub label: String,
     /// The layer's execution-mode string (e.g. `"dense"`, `"sparse"`,
-    /// `"factorized"`, `"transferred"`); empty when the sink's producer
-    /// didn't supply one.
+    /// `"transferred"`); empty when the sink's producer didn't supply
+    /// one.
     pub mode: String,
     /// Stage executions recorded since the sink was enabled (exact).
     /// A batched run counts once here regardless of its batch size.

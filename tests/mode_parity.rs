@@ -1,21 +1,19 @@
-//! Execution-mode parity: the weight plan's alternate executors — the
-//! compressed-sparse path (`engine/sparse.rs`) and the UCNN-style
-//! factorized path (`engine/repeat.rs`) — must be **bit-identical** to
-//! the dense sweep in activations, per-image counter streams, and
-//! per-layer telemetry sums, across scheme × stride × dilation × batch,
-//! through both [`Engine::run`] and [`Engine::run_batched`].
+//! Execution-mode parity: the weight plan's compressed-sparse executor
+//! (`engine/sparse.rs`) must be **bit-identical** to the dense sweep in
+//! activations, per-image counter streams, and per-layer telemetry
+//! sums, across scheme × stride × dilation × batch, through both
+//! [`Engine::run`] and [`Engine::run_batched`].
 //!
 //! The [`ModePolicy`] force constants make this pinnable: compiling the
-//! same network under [`ModePolicy::DENSE_ONLY`],
-//! [`ModePolicy::FORCE_SPARSE`], and [`ModePolicy::FORCE_FACTORIZED`]
-//! yields three engines that must agree bit-exactly on everything
-//! except *how* dense stages execute. Also pinned: the default policy's
-//! natural thresholds (pruned weights select `Sparse`, small-palette
-//! weights select `Factorized`), and the factorized saturation
-//! fallback (weights that break the window-level no-clamp bound
-//! downgrade to the dense sweep per run, preserving bit-identity).
+//! same network under [`ModePolicy::DENSE_ONLY`] and
+//! [`ModePolicy::FORCE_SPARSE`] yields two engines that must agree
+//! bit-exactly on everything except *how* dense stages execute. Also
+//! pinned: the default policy's natural threshold (pruned weights
+//! select `Sparse`, unpruned weights stay `Dense`, however few distinct
+//! values they take).
 
 use proptest::prelude::*;
+use tfe::nets::zoo;
 use tfe::sim::counters::Counters;
 use tfe::sim::engine::{BatchedRun, Engine, Scratch};
 use tfe::sim::network::{FunctionalNetwork, FunctionalStage};
@@ -45,15 +43,10 @@ const STRIDES: [usize; 2] = [1, 2];
 const DILATIONS: [usize; 2] = [1, 2];
 const BATCHES: [usize; 3] = [1, 3, 5];
 
-/// The three policies under comparison; `DENSE_ONLY` is the oracle.
-const POLICIES: [(&str, ModePolicy, ExecMode); 3] = [
+/// The policies under comparison; `DENSE_ONLY` is the oracle.
+const POLICIES: [(&str, ModePolicy, ExecMode); 2] = [
     ("dense", ModePolicy::DENSE_ONLY, ExecMode::Dense),
     ("sparse", ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
-    (
-        "factorized",
-        ModePolicy::FORCE_FACTORIZED,
-        ExecMode::Factorized,
-    ),
 ];
 
 /// A transferred stem (per scheme) feeding a dense stage at the given
@@ -240,7 +233,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The full grid: scheme × stride × dilation × batch × worker count
-    /// × weight sparsity, each cell comparing the three policy engines
+    /// × weight sparsity, each cell comparing the two policy engines
     /// bit-for-bit through `run` and `run_batched`.
     #[test]
     fn forced_modes_are_bit_identical_across_the_grid(
@@ -271,7 +264,7 @@ proptest! {
 
 /// A dense-only deep chain (no transferred stem) under every reuse
 /// ablation: the policy grid must stay bit-identical when ERRR/PPSR
-/// reuse is on, off, and mixed — alternate executors charge the same
+/// reuse is on, off, and mixed — the sparse executor charges the same
 /// counters the dense sweep does regardless of the reuse config.
 #[test]
 fn reuse_ablations_stay_bit_identical_under_forced_modes() {
@@ -317,11 +310,11 @@ fn reuse_ablations_stay_bit_identical_under_forced_modes() {
     }
 }
 
-/// The default policy's natural thresholds: a 90 %-pruned dense stage
+/// The default policy's natural threshold: a 90 %-pruned dense stage
 /// crosses the sparsity threshold and compiles to `Sparse`; a stage
-/// whose weights come from a four-value palette crosses the repetition
-/// threshold and compiles to `Factorized` — and both run bit-identical
-/// to a `DENSE_ONLY` compile of the same network.
+/// whose weights come from a four-value palette has no zero taps and
+/// stays `Dense` — and both run bit-identical to a `DENSE_ONLY` compile
+/// of the same network.
 #[test]
 fn default_policy_thresholds_choose_modes_naturally() {
     let shape = || LayerShape::conv("nat", 6, 8, 12, 12, 3, 1, 1).unwrap();
@@ -347,9 +340,8 @@ fn default_policy_thresholds_choose_modes_naturally() {
         shape: shape(),
         weights: TransferredLayer::Dense {
             weights: Tensor4::from_fn([8, 6, 3, 3], |_| {
-                // A four-value palette: repetition = 1 - 4/432 ≈ 0.99,
-                // past the 0.75 threshold; zero never occurs, so the
-                // sparsity threshold cannot fire first.
+                // A four-value palette: every weight repeats, but zero
+                // never occurs, so the sparsity threshold cannot fire.
                 const PALETTE: [f32; 4] = [-0.5, -0.25, 0.25, 0.5];
                 let v = det(&mut s);
                 PALETTE[(v.abs() * 16.0) as usize % 4]
@@ -360,19 +352,13 @@ fn default_policy_thresholds_choose_modes_naturally() {
     }])
     .unwrap();
 
-    for (net, expect) in [
-        (&pruned, ExecMode::Sparse),
-        (&palette, ExecMode::Factorized),
-    ] {
+    for (net, expect) in [(&pruned, ExecMode::Sparse), (&palette, ExecMode::Dense)] {
         let engine = Engine::compile(net, ReuseConfig::FULL).unwrap();
         assert_eq!(engine.exec_modes(), vec![expect], "{expect:?}");
-        let (sparsity, repetition) = engine.stage_weight_stats(0).unwrap();
+        let sparsity = engine.stage_weight_stats(0).unwrap();
         match expect {
             ExecMode::Sparse => assert!(sparsity > 0.4, "sparsity {sparsity}"),
-            ExecMode::Factorized => {
-                assert!(sparsity < 0.4, "sparsity {sparsity}");
-                assert!(repetition > 0.75, "repetition {repetition}");
-            }
+            ExecMode::Dense => assert_eq!(sparsity, 0.0),
             _ => unreachable!(),
         }
         let input = stacked(2, 6, 12, 1.0, 0x77);
@@ -386,48 +372,47 @@ fn default_policy_thresholds_choose_modes_naturally() {
     }
 }
 
-/// The factorized saturation fallback: weights and inputs large enough
-/// to break the window-level no-clamp bound make the engine downgrade a
-/// `Factorized` stage to the dense sweep *per run* — the compiled mode
-/// still reports `Factorized`, and the run stays bit-identical to a
-/// `DENSE_ONLY` engine (which genuinely saturates on this data).
+/// Unpruned dense stages with real VGG-16 geometries (`conv1_2` and
+/// `conv5_3`, at 8×8) and He-uniform weights compile to `Dense` under
+/// the default policy: a Q8.8 bank of that size takes few distinct
+/// values, and only zero taps may steer a stage off the dense sweep.
 #[test]
-fn factorized_saturation_fallback_stays_bit_identical() {
-    let mut s = 0xfadeu32;
-    let net = FunctionalNetwork::new(vec![FunctionalStage {
-        shape: LayerShape::conv("hot", 16, 8, 10, 10, 3, 1, 1).unwrap(),
-        weights: TransferredLayer::Dense {
-            weights: Tensor4::from_fn([8, 16, 3, 3], |_| 100.0 * det(&mut s)),
-        },
-        bias: vec![0.0; 8],
-        output: OutputConfig::RELU_ONLY,
-    }])
-    .unwrap();
-    let fact = Engine::compile_with_policy(&net, ReuseConfig::FULL, &ModePolicy::FORCE_FACTORIZED)
-        .unwrap();
-    assert_eq!(fact.exec_modes(), vec![ExecMode::Factorized]);
-    let dense =
-        Engine::compile_with_policy(&net, ReuseConfig::FULL, &ModePolicy::DENSE_ONLY).unwrap();
-
-    let mut scratch = Scratch::new();
-    let input = stacked(3, 16, 10, 100.0, 0xd00d);
-    let a = fact.run_batched(&input, &mut scratch, 2).unwrap();
-    let b = dense.run_batched(&input, &mut scratch, 2).unwrap();
-    assert_eq!(flat(&a.activations), flat(&b.activations));
-    assert_eq!(a.per_image, b.per_image);
-    assert_eq!(a.counters, b.counters);
-    // The saturating dense path really was needed: the same weights on
-    // tame inputs take the factorized path, and both agree there too.
-    let tame = stacked(3, 16, 10, 0.01, 0xd00d);
-    let a2 = fact.run_batched(&tame, &mut scratch, 2).unwrap();
-    let b2 = dense.run_batched(&tame, &mut scratch, 2).unwrap();
-    assert_eq!(flat(&a2.activations), flat(&b2.activations));
-    assert_eq!(a2.per_image, b2.per_image);
+fn default_policy_keeps_unpruned_vgg_stages_dense() {
+    let vgg = zoo::vgg16();
+    let mut s = 0x7667u32;
+    let nets = vgg
+        .conv_layers()
+        .filter(|layer| ["conv1_2", "conv5_3"].contains(&layer.shape().name()))
+        .map(|layer| {
+            let z = layer.shape();
+            let shape = LayerShape::conv(z.name(), z.n(), z.m(), 8, 8, z.k(), 1, 1).unwrap();
+            let bound = (6.0 / (z.n() * z.k() * z.k()) as f32).sqrt();
+            let weights = Tensor4::from_fn([z.m(), z.n(), z.k(), z.k()], |_| {
+                s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                ((s >> 8) as f32 / (1u32 << 24) as f32 * 2.0 - 1.0) * bound
+            });
+            FunctionalNetwork::new(vec![FunctionalStage {
+                shape,
+                weights: TransferredLayer::Dense { weights },
+                bias: Vec::new(),
+                output: OutputConfig::RELU_ONLY,
+            }])
+            .unwrap()
+        })
+        .collect::<Vec<_>>();
+    assert_eq!(nets.len(), 2, "both VGG-16 layers found");
+    for net in &nets {
+        let name = net.stages()[0].shape.name();
+        let engine = Engine::compile(net, ReuseConfig::FULL).unwrap();
+        assert_eq!(engine.exec_modes(), vec![ExecMode::Dense], "{name}");
+        let sparsity = engine.stage_weight_stats(0).unwrap();
+        assert!(sparsity < 0.4, "{name}: sparsity {sparsity}");
+    }
 }
 
-/// A fully-pruned (all-zero) dense stage: the sparse table is empty,
-/// the factorized table has no groups — both must still emit the exact
-/// dense result (bias + activation of zero sums) with exact counters.
+/// A fully-pruned (all-zero) dense stage: the sparse table is empty and
+/// must still emit the exact dense result (bias + activation of zero
+/// sums) with exact counters.
 #[test]
 fn all_zero_weights_stay_bit_identical_in_every_mode() {
     let net = FunctionalNetwork::new(vec![FunctionalStage {
@@ -444,5 +429,5 @@ fn all_zero_weights_stay_bit_identical_in_every_mode() {
     let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
     // Naturally chosen too: sparsity 1.0 ≫ threshold.
     assert_eq!(engine.exec_modes(), vec![ExecMode::Sparse]);
-    assert_eq!(engine.stage_weight_stats(0).unwrap().0, 1.0);
+    assert_eq!(engine.stage_weight_stats(0).unwrap(), 1.0);
 }

@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 use tfe::serve::demo::{demo_images, demo_network};
-use tfe::serve::protocol::{roundtrip, WireRequest, WireResponse};
+use tfe::serve::protocol::{read_frame, roundtrip, write_frame, WireRequest, WireResponse};
 use tfe::serve::{Rejected, ServeConfig, Service, TcpServer};
 use tfe::sim::batch::{run_batch, BatchOptions};
 use tfe::sim::counters::Counters;
@@ -270,6 +270,52 @@ fn wrong_geometry_is_rejected_at_admission() {
     let snapshot = service.shutdown();
     assert_eq!(snapshot.failed, 1);
     assert_eq!(snapshot.completed, 0);
+}
+
+/// A frame nested far past the JSON parser's depth limit gets a typed
+/// `Error` reply instead of overflowing the connection thread's stack,
+/// and the same connection then serves a well-formed request
+/// bit-identically.
+#[test]
+fn deeply_nested_frame_is_a_typed_error() {
+    let net = demo_network(4);
+    let images = demo_images(1, 0xdee9);
+    let expected = reference_outputs(&net, &images);
+    let service = Service::start(net, ServeConfig::default()).unwrap();
+    let server = TcpServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+
+    write_frame(&mut stream, "[".repeat(100_000).as_bytes()).expect("send deep frame");
+    let reply = read_frame(&mut stream)
+        .expect("read reply")
+        .expect("server answers instead of dropping the connection");
+    match WireResponse::from_json(std::str::from_utf8(&reply).unwrap()).unwrap() {
+        WireResponse::Error { message } => {
+            assert!(message.contains("recursion limit"), "{message}");
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+
+    let request = WireRequest::Infer {
+        input: images[0].clone(),
+        deadline_ms: None,
+        model_id: None,
+    };
+    match roundtrip(&mut stream, &request).expect("roundtrip after the deep frame") {
+        WireResponse::Ok {
+            activations,
+            counters,
+            ..
+        } => {
+            assert_eq!(activations, expected[0].activations);
+            assert_eq!(counters, expected[0].counters);
+        }
+        other => panic!("expected Ok, got {other:?}"),
+    }
+    drop(stream);
+    server.shutdown();
+    let snapshot = service.shutdown();
+    assert_eq!(snapshot.completed, 1);
 }
 
 proptest! {
